@@ -137,6 +137,9 @@ class Supervisor:
         stops cooperating on its own.  Transient failures (``retryable``)
         are retried with seeded backoff until the retry budget or the
         request deadline runs out; anything else propagates immediately.
+        A result that arrives after the request ``deadline`` raises
+        :class:`~repro.resilience.errors.DeadlineExceeded`: the
+        supervisor's clock, not the work's, decides whether it was late.
 
         With telemetry live on the calling thread, every attempt runs
         under a child registry whose delta is merged back as a sibling
@@ -179,9 +182,6 @@ class Supervisor:
                     result = outcome.result
                 else:
                     result = outcome
-                if attempt:
-                    telemetry.count("serving.recovered_after_retry")
-                return result, attempts
             except FuturesTimeoutError:
                 future.cancel()
                 self.timeouts += 1
@@ -203,6 +203,15 @@ class Supervisor:
                     error_type=type(exc).__name__,
                     error=str(exc),
                 )
+            else:
+                # The supervisor's clock decides: a result that lands after
+                # the request deadline (say, the waiter woke late behind a
+                # GIL-holding worker) is late, not a success.
+                if deadline is not None:
+                    deadline.check("supervisor.run")
+                if attempt:
+                    telemetry.count("serving.recovered_after_retry")
+                return result, attempts
             if attempt < self.retry.max_retries:
                 self.retries += 1
                 flightrecorder.record("supervisor.retry", attempt=attempt + 1)

@@ -12,6 +12,7 @@ import pytest
 from repro.parallel import BrokenPoolError, ParallelConfig, WorkerTimeoutError
 from repro.resilience.deadline import Deadline, DeadlineExceeded
 from repro.resilience.faults import RetryPolicy
+import repro.serving.supervisor as supervisor_module
 from repro.serving.supervisor import RetriesExhausted, Supervisor, WorkerCrashed
 
 FAST_RETRY = RetryPolicy(max_retries=3, backoff_base_s=0.001)
@@ -113,6 +114,29 @@ class TestRun:
                 always_hangs, attempt_timeout_s=0.05,
                 deadline=Deadline.after(0.15),
             )
+
+    def test_result_after_request_deadline_is_late(self, monkeypatch):
+        # A waiter that wakes only once the work is done -- as when the
+        # worker holds the GIL through the whole attempt -- receives a
+        # finished future after the deadline has passed.  The
+        # supervisor's clock must still call that a missed deadline.
+        monkeypatch.setattr(supervisor_module, "effective_timeout",
+                            lambda deadline, timeout_s: None)
+
+        def sleeps_past_deadline(deadline):
+            time.sleep(0.05)
+            return "done"
+
+        with pytest.raises(DeadlineExceeded):
+            _sup().run(sleeps_past_deadline, attempt_timeout_s=1.0,
+                       deadline=Deadline.after(0.01))
+
+    def test_result_inside_request_deadline_is_returned(self, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "effective_timeout",
+                            lambda deadline, timeout_s: None)
+        result = _sup().run(lambda deadline: "done", attempt_timeout_s=1.0,
+                            deadline=Deadline.after(10.0))
+        assert result == ("done", 1)
 
     def test_backoff_schedule_is_seeded(self):
         def schedule(seed):
